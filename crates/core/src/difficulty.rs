@@ -81,12 +81,18 @@ pub fn assignment_difficulty(
 
 /// The empirical skill prior: the fraction of actions assigned each level.
 pub fn empirical_prior(assignments: &SkillAssignments, n_levels: usize) -> Result<Vec<f64>> {
-    let hist = assignments.level_histogram(n_levels);
-    let total: usize = hist.iter().sum();
+    prior_from_counts(&assignments.level_histogram(n_levels))
+}
+
+/// The empirical skill prior from per-level action counts
+/// (`counts[s - 1]`), e.g. a running level histogram kept without the
+/// assignments themselves.
+pub fn prior_from_counts(counts: &[usize]) -> Result<Vec<f64>> {
+    let total: usize = counts.iter().sum();
     if total == 0 {
         return Err(CoreError::EmptyDataset);
     }
-    Ok(hist.into_iter().map(|c| c as f64 / total as f64).collect())
+    Ok(counts.iter().map(|&c| c as f64 / total as f64).collect())
 }
 
 /// Difficulty of an arbitrary feature tuple via the generation-based
@@ -156,9 +162,7 @@ pub fn generation_difficulty_all_with_table(
             empirical_prior(assignments, s)?
         }
     };
-    (0..table.n_items())
-        .map(|item| table.expected_level(item as ItemId, &prior_vec))
-        .collect()
+    table.expected_levels(&prior_vec)
 }
 
 #[cfg(test)]

@@ -12,6 +12,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{CoreError, Result};
 
+/// Counts below this get their log-probability computed once per fit
+/// and shared by every category with the same count.
+const SMALL_COUNTS: usize = 64;
+
 /// Default pseudo-count, following Shin et al. (paper §IV-B).
 pub const DEFAULT_SMOOTHING: f64 = 0.01;
 
@@ -87,7 +91,21 @@ impl Categorical {
             .iter()
             .map(|&c| (lambda + c as f64) / denom)
             .collect();
-        let log_probs = probs.iter().map(|&p| p.ln()).collect();
+        // A probability is a pure function of its count, and large
+        // catalogs (an item-id feature has one category per item) repeat
+        // a few small counts thousands of times: take `ln` once per
+        // distinct small count. Same input, same bits.
+        let mut small_lns = [None::<f64>; SMALL_COUNTS];
+        let log_probs = counts
+            .iter()
+            .zip(&probs)
+            .map(
+                |(&c, &p)| match usize::try_from(c).ok().and_then(|c| small_lns.get_mut(c)) {
+                    Some(slot) => *slot.get_or_insert_with(|| p.ln()),
+                    None => p.ln(),
+                },
+            )
+            .collect();
         Ok(Self { probs, log_probs })
     }
 
@@ -245,5 +263,27 @@ mod tests {
     fn mean_index_weighted() {
         let d = Categorical::from_probs(vec![0.0, 0.0, 1.0]).unwrap();
         assert!((d.mean_index() - 2.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn shared_small_count_logs_match_per_category_ln_bitwise() {
+        // Repeated small counts share one `ln`; large ones take their own.
+        let counts: Vec<u64> = (0..500u64)
+            .map(|i| (i * 7) % 70 + (i / 400) * 1000)
+            .collect();
+        for lambda in [0.0, 0.01, 1.5] {
+            let d = Categorical::fit_from_counts(&counts, lambda).unwrap();
+            let total: u64 = counts.iter().sum();
+            let denom = lambda * counts.len() as f64 + total as f64;
+            for (c, (&count, &lp)) in counts.iter().zip(&d.log_probs).enumerate() {
+                let p = (lambda + count as f64) / denom;
+                assert_eq!(d.probs[c].to_bits(), p.to_bits());
+                assert_eq!(
+                    lp.to_bits(),
+                    p.ln().to_bits(),
+                    "category {c}, lambda {lambda}"
+                );
+            }
+        }
     }
 }

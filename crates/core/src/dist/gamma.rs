@@ -208,14 +208,20 @@ impl SufficientStats {
         if n == 0 {
             return Ok(());
         }
-        let w = n as f64;
-        let lx = x.ln();
+        self.push_weighted_ln(x, x.ln(), n as f64);
+        Ok(())
+    }
+
+    /// Accumulates weight `w` of an already validated sample `x` whose
+    /// `ln x` the caller has precomputed — the arithmetic of
+    /// [`SufficientStats::push_n`] without the guard and the `ln`, so a
+    /// replay from gathered `(x, ln x)` columns reproduces its bits.
+    pub(crate) fn push_weighted_ln(&mut self, x: f64, lx: f64, w: f64) {
         self.sum += w * x;
         self.sum_ln += w * lx;
         self.sum_sq += w * x * x;
         self.sum_ln_sq += w * lx * lx;
         self.count += w;
-        Ok(())
     }
 
     /// Removes one previously pushed observation (the inverse of

@@ -4,7 +4,8 @@
 //! - [`ln_gamma`] — Lanczos approximation, ~15 significant digits;
 //! - [`digamma`] — recurrence + asymptotic series;
 //! - [`trigamma`] — recurrence + asymptotic series;
-//! - [`ln_factorial`] — exact table for small `n`, `ln_gamma` beyond.
+//! - [`ln_factorial`] — exact prefix-sum table for small `n`, `ln_gamma`
+//!   beyond.
 
 /// Lanczos coefficients for `g = 7`, `n = 9` (Godfrey).
 const LANCZOS_G: f64 = 7.0;
@@ -80,19 +81,30 @@ pub fn trigamma(x: f64) -> f64 {
                     + inv * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0)))))
 }
 
+/// Number of exact `ln(n!)` values kept in the prefix-sum table.
+const LN_FACTORIAL_TABLE_LEN: usize = 32;
+
 /// Exact `ln(n!)` for small `n`; `ln_gamma(n + 1)` otherwise.
+///
+/// `n < 32` reads a process-wide table of the prefix sums
+/// `Σ_{k=2..n} ln k`, filled once in that left-to-right order, so each
+/// entry has the bits of the summing loop it replaces.
 pub fn ln_factorial(n: u64) -> f64 {
-    const TABLE_LEN: usize = 32;
-    // Thread-safe lazily computed table would need sync; a const-time loop
-    // at first call per thread is cheap enough to recompute inline instead.
-    if (n as usize) < TABLE_LEN {
-        let mut acc = 0.0f64;
-        for k in 2..=n {
-            acc += (k as f64).ln();
+    static TABLE: std::sync::OnceLock<[f64; LN_FACTORIAL_TABLE_LEN]> = std::sync::OnceLock::new();
+    match usize::try_from(n) {
+        Ok(small) if small < LN_FACTORIAL_TABLE_LEN => {
+            let table = TABLE.get_or_init(|| {
+                let mut table = [0.0f64; LN_FACTORIAL_TABLE_LEN];
+                let mut acc = 0.0f64;
+                for (k, slot) in table.iter_mut().enumerate().skip(2) {
+                    acc += (k as f64).ln();
+                    *slot = acc;
+                }
+                table
+            });
+            table.get(small).copied().unwrap_or(0.0)
         }
-        acc
-    } else {
-        ln_gamma(n as f64 + 1.0)
+        _ => ln_gamma(n as f64 + 1.0),
     }
 }
 
@@ -187,5 +199,21 @@ mod tests {
         assert_close(ln_factorial(31), ln_gamma(32.0), 1e-12);
         assert_close(ln_factorial(32), ln_gamma(33.0), 1e-12);
         assert_close(ln_factorial(170), ln_gamma(171.0), 1e-12);
+    }
+
+    #[test]
+    fn ln_factorial_table_matches_summing_loop_bitwise() {
+        for n in 0..=33u64 {
+            let expected = if n < 32 {
+                let mut acc = 0.0f64;
+                for k in 2..=n {
+                    acc += (k as f64).ln();
+                }
+                acc
+            } else {
+                ln_gamma(n as f64 + 1.0)
+            };
+            assert_eq!(ln_factorial(n).to_bits(), expected.to_bits(), "n = {n}");
+        }
     }
 }

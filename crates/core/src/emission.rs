@@ -19,7 +19,9 @@
 //! The fill itself is *columnar*: item feature values are gathered once
 //! per feature into flat columns (`FeatureColumn`), hoisting the enum
 //! dispatch and the per-item transcendentals (`ln x`, `ln k!`, integer →
-//! float widening) out of the `S × n_items` loop, and each
+//! float widening) out of the `S × n_items` loop. A [`Dataset`] gathers
+//! its catalog once, on first use, so builds and refreshes after the
+//! first read the held columns instead of gathering again. Each
 //! (feature, level) pair is then evaluated by one batch kernel
 //! (`log_prob_batch` / `log_pmf_batch` / `log_pdf_batch`) over a
 //! contiguous unit-stride run of cells. Every cell accumulates its
@@ -61,6 +63,7 @@ const ITEM_TILE: usize = 2048;
 /// of items, with the per-item transforms the scalar path recomputes for
 /// every level (integer → float widening, `ln k!`, `ln x`) hoisted out so
 /// they are paid once across all `S` level kernels.
+#[derive(Debug, Clone)]
 enum FeatureColumn {
     /// Category codes for [`crate::dist::Categorical::log_prob_batch`].
     Categorical(Vec<u32>),
@@ -180,57 +183,202 @@ impl FeatureColumn {
     }
 }
 
-/// Gathered columns for a run of items, plus the mask of items whose
-/// value tuple failed schema dispatch entirely (dead code for
+/// The item catalog gathered into per-feature columns, plus the mask of
+/// items whose value tuple failed schema dispatch entirely (dead code for
 /// [`Dataset`]-validated items, which are checked at construction): those
 /// rows are forced to `-inf` at every level, the release contract of
 /// [`score_kind_mismatch`].
-struct GatheredColumns {
+///
+/// Item features never change after a [`Dataset`] is built, so the
+/// dataset gathers its catalog once, on first use, and every table build
+/// and refresh, and every [`crate::incremental::StatsGrid`] refit, reads
+/// the same columns (see `Dataset::item_columns`).
+#[derive(Debug, Clone)]
+pub(crate) struct ItemColumns {
     columns: Vec<FeatureColumn>,
     hard_poison: Vec<bool>,
     any_hard: bool,
-    n_rows: usize,
+    /// Item-major integer features for the exact grid statistics: per
+    /// item, one absolute category slot per categorical feature (the
+    /// feature's offset into the concatenated category counts plus the
+    /// code; `u64::MAX` when the code is out of range), then the raw
+    /// value of every count feature, each group in schema order.
+    ints: Vec<u64>,
+    /// Integer slots per item (`n_categorical + n_count`).
+    n_ints: usize,
+    /// Categorical features per item (the leading slots of an int row).
+    n_categorical: usize,
+    /// Sum of the categorical cardinalities: the length of one level's
+    /// concatenated category counts.
+    category_slots: usize,
 }
 
-/// Gathers feature columns for `n_rows` item feature tuples.
-fn gather_columns<'a>(
-    schema: &FeatureSchema,
-    items: impl Iterator<Item = &'a [FeatureValue]>,
-    n_rows: usize,
-) -> GatheredColumns {
-    let mut columns: Vec<FeatureColumn> = schema
-        .kinds()
-        .iter()
-        .map(|&kind| FeatureColumn::with_capacity(kind, n_rows))
-        .collect();
-    let mut hard_poison = vec![false; n_rows];
-    let mut any_hard = false;
-    for (features, bad) in items.zip(hard_poison.iter_mut()) {
-        for (column, value) in columns.iter_mut().zip(features) {
-            if !column.push(value) {
-                let _ = score_kind_mismatch(column.kind_name(), value.name());
+impl ItemColumns {
+    /// Gathers `n_rows` item feature tuples against `schema`.
+    pub(crate) fn gather<'a>(
+        schema: &FeatureSchema,
+        items: impl Iterator<Item = &'a [FeatureValue]>,
+        n_rows: usize,
+    ) -> Self {
+        let kinds = schema.kinds();
+        let mut columns: Vec<FeatureColumn> = kinds
+            .iter()
+            .map(|&kind| FeatureColumn::with_capacity(kind, n_rows))
+            .collect();
+        // Per feature: the categorical offset and cardinality, if any.
+        let mut category_slots = 0usize;
+        let categorical: Vec<Option<(usize, u32)>> = kinds
+            .iter()
+            .map(|kind| match *kind {
+                FeatureKind::Categorical { cardinality } => {
+                    let offset = category_slots;
+                    category_slots += cardinality as usize;
+                    Some((offset, cardinality))
+                }
+                _ => None,
+            })
+            .collect();
+        let n_categorical = categorical.iter().flatten().count();
+        let n_ints = n_categorical
+            + kinds
+                .iter()
+                .filter(|k| matches!(k, FeatureKind::Count))
+                .count();
+        let mut ints = Vec::with_capacity(n_rows * n_ints);
+        let mut hard_poison = vec![false; n_rows];
+        let mut any_hard = false;
+        for (features, bad) in items.zip(hard_poison.iter_mut()) {
+            if features.len() != columns.len() {
+                // A tuple of the wrong width: keep every column aligned
+                // and poison the row.
+                for column in columns.iter_mut() {
+                    column.push_placeholder();
+                }
                 *bad = true;
                 any_hard = true;
+            } else {
+                for (column, value) in columns.iter_mut().zip(features) {
+                    if !column.push(value) {
+                        let _ = score_kind_mismatch(column.kind_name(), value.name());
+                        *bad = true;
+                        any_hard = true;
+                    }
+                }
+            }
+            for (layout, f) in categorical.iter().zip(0..) {
+                if let Some((offset, cardinality)) = *layout {
+                    ints.push(match features.get(f) {
+                        Some(FeatureValue::Categorical(c)) if *c < cardinality => {
+                            (offset + *c as usize) as u64
+                        }
+                        _ => u64::MAX,
+                    });
+                }
+            }
+            for (kind, f) in kinds.iter().zip(0..) {
+                if matches!(kind, FeatureKind::Count) {
+                    ints.push(match features.get(f) {
+                        Some(FeatureValue::Count(k)) => *k,
+                        _ => 0,
+                    });
+                }
             }
         }
+        Self {
+            columns,
+            hard_poison,
+            any_hard,
+            ints,
+            n_ints,
+            n_categorical,
+            category_slots,
+        }
     }
-    GatheredColumns {
-        columns,
-        hard_poison,
-        any_hard,
-        n_rows,
+
+    /// Length of one level's concatenated category counts.
+    pub(crate) fn category_slots(&self) -> usize {
+        self.category_slots
+    }
+
+    /// Number of count (Poisson) features.
+    pub(crate) fn n_counts(&self) -> usize {
+        self.n_ints - self.n_categorical
+    }
+
+    /// The integer features of one item, split into its absolute
+    /// category slots and its raw counts. `None` for an out-of-range
+    /// item or one whose tuple failed schema dispatch.
+    pub(crate) fn int_row(&self, item: usize) -> Option<(&[u64], &[u64])> {
+        if self.hard_poison.get(item).copied().unwrap_or(true) {
+            return None;
+        }
+        let row = self
+            .ints
+            .get(item * self.n_ints..(item + 1) * self.n_ints)?;
+        Some(row.split_at(self.n_categorical))
+    }
+
+    /// The `x` and `ln x` columns of positive-real feature `f`, plus its
+    /// guard mask when any slot is guarded; `None` when `f` is not a
+    /// positive-real feature.
+    pub(crate) fn real_column(&self, f: usize) -> Option<RealColumn<'_>> {
+        match self.columns.get(f)? {
+            FeatureColumn::Real {
+                xs,
+                ln_xs,
+                guard,
+                any_guarded,
+            } => Some((xs, ln_xs, any_guarded.then_some(guard.as_slice()))),
+            _ => None,
+        }
     }
 }
 
-/// Applies one level's distribution to one gathered column, accumulating
-/// into a level-major slice of `n_rows` cells.
-fn evaluate_column(dist: &FeatureDistribution, column: &FeatureColumn, out: &mut [f64]) {
+/// `(x, ln x, guard)` of one positive-real feature; the guard mask is
+/// present only when some slot failed the density guard.
+pub(crate) type RealColumn<'a> = (&'a [f64], &'a [f64], Option<&'a [bool]>);
+
+/// A [`Dataset`]'s lazily gathered [`ItemColumns`]. Cloning copies the
+/// gathered columns; serialization skips them (a deserialized dataset
+/// gathers again on first use).
+#[derive(Clone, Default)]
+pub(crate) struct ItemColumnsCache(std::sync::OnceLock<ItemColumns>);
+
+impl ItemColumnsCache {
+    /// The gathered columns, gathering `items` on the first call.
+    pub(crate) fn get_or_gather(
+        &self,
+        schema: &FeatureSchema,
+        items: &[Vec<FeatureValue>],
+    ) -> &ItemColumns {
+        self.0.get_or_init(|| {
+            ItemColumns::gather(schema, items.iter().map(Vec::as_slice), items.len())
+        })
+    }
+}
+
+impl std::fmt::Debug for ItemColumnsCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ItemColumnsCache")
+            .field("gathered", &self.0.get().is_some())
+            .finish()
+    }
+}
+
+/// Applies one level's distribution to rows `range` of one gathered
+/// column, accumulating into a level-major slice of `range.len()` cells.
+fn evaluate_column(
+    dist: &FeatureDistribution,
+    column: &FeatureColumn,
+    range: std::ops::Range<usize>,
+    out: &mut [f64],
+) {
     match (dist, column) {
         (FeatureDistribution::Categorical(d), FeatureColumn::Categorical(cats)) => {
-            d.log_prob_batch(cats, out);
+            d.log_prob_batch(&cats[range], out);
         }
         (FeatureDistribution::Poisson(d), FeatureColumn::Count { ks, ln_facts }) => {
-            d.log_pmf_batch(ks, ln_facts, out);
+            d.log_pmf_batch(&ks[range.clone()], &ln_facts[range], out);
         }
         (
             FeatureDistribution::Gamma(d),
@@ -241,8 +389,8 @@ fn evaluate_column(dist: &FeatureDistribution, column: &FeatureColumn, out: &mut
                 any_guarded,
             },
         ) => {
-            d.log_pdf_batch(xs, ln_xs, out);
-            apply_guard(out, guard, *any_guarded);
+            d.log_pdf_batch(&xs[range.clone()], &ln_xs[range.clone()], out);
+            apply_guard(out, &guard[range], *any_guarded);
         }
         (
             FeatureDistribution::LogNormal(d),
@@ -253,8 +401,8 @@ fn evaluate_column(dist: &FeatureDistribution, column: &FeatureColumn, out: &mut
                 ..
             },
         ) => {
-            d.log_pdf_batch(ln_xs, out);
-            apply_guard(out, guard, *any_guarded);
+            d.log_pdf_batch(&ln_xs[range.clone()], out);
+            apply_guard(out, &guard[range], *any_guarded);
         }
         (dist, column) => {
             // Distribution / column kind mismatch: loud under debug or
@@ -279,54 +427,99 @@ fn apply_guard(out: &mut [f64], guard: &[bool], any_guarded: bool) {
     }
 }
 
-/// Fills `out` — item-major rows, `out[j·S + s₀]` for the `j`-th gathered
-/// item — from the columnar kernels.
+/// Fills column `s₀` of rows `range` for level `s₀` into the contiguous
+/// `column` scratch (`range.len()` cells): every feature contribution in
+/// schema order starting from `0.0`, the exact operation order of
+/// [`SkillModel::item_log_likelihood`]'s feature sum, then the
+/// hard-poison rows forced to `-inf`.
+fn fill_level_column(
+    model: &SkillModel,
+    columns: &ItemColumns,
+    s0: usize,
+    range: std::ops::Range<usize>,
+    column: &mut [f64],
+) {
+    column.fill(0.0);
+    match model.level_row(skill_level_from_index(s0)) {
+        Ok(row) => {
+            for (dist, feature_column) in row.iter().zip(&columns.columns) {
+                evaluate_column(dist, feature_column, range.clone(), column);
+            }
+        }
+        // Unreachable for `s₀ < S`, but the scalar path scores a
+        // missing level row `-inf`, so mirror it.
+        Err(_) => column.fill(f64::NEG_INFINITY),
+    }
+    if columns.any_hard {
+        let poison = &columns.hard_poison[range];
+        for (cell, &bad) in column.iter_mut().zip(poison) {
+            if bad {
+                *cell = f64::NEG_INFINITY;
+            }
+        }
+    }
+}
+
+/// Fills `out` — item-major rows, `out[j·S + s₀]` for item
+/// `range.start + j` — from the columnar kernels, for every level flagged
+/// in `levels` (`None` = all levels); unflagged cells are left as they
+/// are.
 ///
-/// The scratch buffer is level-major (`scratch[s₀·m + j]`), so every
-/// kernel call writes one contiguous unit-stride run of `m` cells; rows
-/// are transposed into `out` once at the end. Cells accumulate feature
-/// contributions in schema order starting from `0.0`, the exact operation
-/// order of [`SkillModel::item_log_likelihood`]'s feature sum, so f64
-/// results are bitwise identical to the scalar path.
+/// Each flagged level is evaluated into a contiguous unit-stride scratch
+/// column of `range.len()` cells, then scattered into column `s₀` of the
+/// rows. Per-cell values are independent of the range, so callers may
+/// tile the item axis freely: results are bitwise identical to the
+/// scalar path for every tile size.
 fn fill_rows_columnar(
     model: &SkillModel,
-    gathered: &GatheredColumns,
+    columns: &ItemColumns,
+    range: std::ops::Range<usize>,
+    levels: Option<&[bool]>,
     scratch: &mut Vec<f64>,
     out: &mut [f64],
 ) {
-    let m = gathered.n_rows;
     let n_levels = model.n_levels();
-    debug_assert_eq!(out.len(), m * n_levels);
-    if m == 0 || n_levels == 0 {
+    debug_assert_eq!(out.len(), range.len() * n_levels);
+    if range.is_empty() || n_levels == 0 {
         return;
     }
     scratch.clear();
-    scratch.resize(m * n_levels, 0.0);
-    for (s0, level_out) in scratch.chunks_mut(m).enumerate() {
-        match model.level_row(skill_level_from_index(s0)) {
-            Ok(row) => {
-                for (dist, column) in row.iter().zip(&gathered.columns) {
-                    evaluate_column(dist, column, level_out);
-                }
-            }
-            // Unreachable for `s₀ < S`, but the scalar path scores a
-            // missing level row `-inf`, so mirror it.
-            Err(_) => level_out.fill(f64::NEG_INFINITY),
-        }
-    }
-    for ((j, row), &bad) in out
-        .chunks_mut(n_levels)
-        .enumerate()
-        .zip(&gathered.hard_poison)
-    {
-        if bad {
-            row.fill(f64::NEG_INFINITY);
+    scratch.resize(range.len(), 0.0);
+    for s0 in 0..n_levels {
+        if !levels.is_none_or(|flags| flags.get(s0).copied().unwrap_or(false)) {
             continue;
         }
-        for (cell, &v) in row.iter_mut().zip(scratch.iter().skip(j).step_by(m)) {
-            *cell = v;
+        fill_level_column(model, columns, s0, range.clone(), scratch);
+        for (row, &v) in out.chunks_mut(n_levels).zip(scratch.iter()) {
+            if let Some(cell) = row.get_mut(s0) {
+                *cell = v;
+            }
         }
     }
+}
+
+/// Checks that `dataset`'s catalog has the shape a table was built with.
+fn check_table_shape(
+    n_items: usize,
+    n_levels: usize,
+    model: &SkillModel,
+    dataset: &Dataset,
+) -> Result<()> {
+    if model.n_levels() != n_levels {
+        return Err(CoreError::LengthMismatch {
+            context: "emission table levels vs model levels",
+            left: n_levels,
+            right: model.n_levels(),
+        });
+    }
+    if dataset.n_items() != n_items {
+        return Err(CoreError::LengthMismatch {
+            context: "emission table items vs dataset items",
+            left: n_items,
+            right: dataset.n_items(),
+        });
+    }
+    Ok(())
 }
 
 /// Precomputed `n_items × S` matrix of emission log-likelihoods.
@@ -365,20 +558,11 @@ impl EmissionTable {
         let n_levels = model.n_levels();
         let mut data = vec![0.0f64; n_items * n_levels];
         let mut scratch = Vec::new();
-        let items = dataset.items();
-        for start in (0..n_items).step_by(ITEM_TILE.max(1)) {
-            let end = (start + ITEM_TILE).min(n_items);
-            let gathered = gather_columns(
-                dataset.schema(),
-                items[start..end].iter().map(Vec::as_slice),
-                end - start,
-            );
-            fill_rows_columnar(
-                model,
-                &gathered,
-                &mut scratch,
-                &mut data[start * n_levels..end * n_levels],
-            );
+        let columns = dataset.item_columns();
+        for (tile, window) in data.chunks_mut((ITEM_TILE * n_levels).max(1)).enumerate() {
+            let start = tile * ITEM_TILE;
+            let end = start + window.len() / n_levels.max(1);
+            fill_rows_columnar(model, columns, start..end, None, &mut scratch, window);
         }
         EmissionTable {
             n_items,
@@ -431,6 +615,7 @@ impl EmissionTable {
 
         let n_workers = threads.min(n_chunks);
         let mut data = vec![0.0f64; n_items * n_levels];
+        let columns = dataset.item_columns();
         let worker_results: Vec<Result<()>> = {
             // Ownership of disjoint output windows moves through the
             // queue, so workers write concurrently without aliasing and
@@ -453,12 +638,14 @@ impl EmissionTable {
                                 };
                                 let start = chunk * PARALLEL_CHUNK;
                                 let end = start + window.len() / n_levels;
-                                let gathered = gather_columns(
-                                    dataset.schema(),
-                                    dataset.items()[start..end].iter().map(Vec::as_slice),
-                                    end - start,
+                                fill_rows_columnar(
+                                    model,
+                                    columns,
+                                    start..end,
+                                    None,
+                                    &mut scratch,
+                                    window,
                                 );
-                                fill_rows_columnar(model, &gathered, &mut scratch, window);
                             }
                         })
                     })
@@ -538,20 +725,7 @@ impl EmissionTable {
         dataset: &Dataset,
         items: &[ItemId],
     ) -> Result<()> {
-        if model.n_levels() != self.n_levels {
-            return Err(CoreError::LengthMismatch {
-                context: "emission table levels vs model levels",
-                left: self.n_levels,
-                right: model.n_levels(),
-            });
-        }
-        if dataset.n_items() != self.n_items {
-            return Err(CoreError::LengthMismatch {
-                context: "emission table items vs dataset items",
-                left: self.n_items,
-                right: dataset.n_items(),
-            });
-        }
+        check_table_shape(self.n_items, self.n_levels, model, dataset)?;
         // Validate every id before touching any row so a stale id cannot
         // leave the table half-refreshed.
         for &item in items {
@@ -563,21 +737,13 @@ impl EmissionTable {
                 });
             }
         }
-        if items.is_empty() {
-            return Ok(());
-        }
         let n_levels = self.n_levels;
-        let gathered = gather_columns(
-            dataset.schema(),
-            items.iter().map(|&item| dataset.item_features(item)),
-            items.len(),
-        );
+        let columns = dataset.item_columns();
         let mut scratch = Vec::new();
-        let mut rows = vec![0.0f64; items.len() * n_levels];
-        fill_rows_columnar(model, &gathered, &mut scratch, &mut rows);
-        for (&item, row) in items.iter().zip(rows.chunks(n_levels.max(1))) {
+        for &item in items {
             let i = item as usize;
-            self.data[i * n_levels..(i + 1) * n_levels].copy_from_slice(row);
+            let row = &mut self.data[i * n_levels..(i + 1) * n_levels];
+            fill_rows_columnar(model, columns, i..i + 1, None, &mut scratch, row);
         }
         Ok(())
     }
@@ -598,20 +764,7 @@ impl EmissionTable {
         dataset: &Dataset,
         levels: &[bool],
     ) -> Result<()> {
-        if model.n_levels() != self.n_levels {
-            return Err(CoreError::LengthMismatch {
-                context: "emission table levels vs model levels",
-                left: self.n_levels,
-                right: model.n_levels(),
-            });
-        }
-        if dataset.n_items() != self.n_items {
-            return Err(CoreError::LengthMismatch {
-                context: "emission table items vs dataset items",
-                left: self.n_items,
-                right: dataset.n_items(),
-            });
-        }
+        check_table_shape(self.n_items, self.n_levels, model, dataset)?;
         if levels.len() != self.n_levels {
             return Err(CoreError::LengthMismatch {
                 context: "refresh flags vs levels",
@@ -622,46 +775,23 @@ impl EmissionTable {
         if !levels.iter().any(|&d| d) || self.n_items == 0 {
             return Ok(());
         }
+        // Cache-blocked like `build`: per item tile, evaluate each dirty
+        // level into a tile-sized contiguous scratch column, then scatter
+        // it into column `s₀` of the tile's rows.
         let n_levels = self.n_levels;
-        // Cache-blocked like `build`: gather one item tile, evaluate each
-        // dirty level into a tile-sized contiguous scratch column, then
-        // scatter into column `s₀` of the tile's rows. Per-cell values
-        // are independent of the tile size, so this is bitwise identical
-        // to the whole-axis refresh for every tile width.
-        let mut column = vec![0.0f64; ITEM_TILE.min(self.n_items)];
-        let items = dataset.items();
-        for start in (0..self.n_items).step_by(ITEM_TILE.max(1)) {
-            let end = (start + ITEM_TILE).min(self.n_items);
-            let gathered = gather_columns(
-                dataset.schema(),
-                items[start..end].iter().map(Vec::as_slice),
-                end - start,
+        let columns = dataset.item_columns();
+        let mut scratch = Vec::with_capacity(ITEM_TILE.min(self.n_items));
+        for (tile, window) in self.data.chunks_mut(ITEM_TILE * n_levels).enumerate() {
+            let start = tile * ITEM_TILE;
+            let end = start + window.len() / n_levels;
+            fill_rows_columnar(
+                model,
+                columns,
+                start..end,
+                Some(levels),
+                &mut scratch,
+                window,
             );
-            let column = &mut column[..end - start];
-            let window = &mut self.data[start * n_levels..end * n_levels];
-            for (s0, _) in levels.iter().enumerate().filter(|&(_, &dirty)| dirty) {
-                column.fill(0.0);
-                match model.level_row(skill_level_from_index(s0)) {
-                    Ok(row) => {
-                        for (dist, feature_column) in row.iter().zip(&gathered.columns) {
-                            evaluate_column(dist, feature_column, column);
-                        }
-                    }
-                    Err(_) => column.fill(f64::NEG_INFINITY),
-                }
-                if gathered.any_hard {
-                    for (cell, &bad) in column.iter_mut().zip(&gathered.hard_poison) {
-                        if bad {
-                            *cell = f64::NEG_INFINITY;
-                        }
-                    }
-                }
-                for (row, &v) in window.chunks_mut(n_levels).zip(column.iter()) {
-                    if let Some(cell) = row.get_mut(s0) {
-                        *cell = v;
-                    }
-                }
-            }
         }
         Ok(())
     }
@@ -752,6 +882,107 @@ impl EmissionTable {
             .enumerate()
             .map(|(idx, &p)| (idx + 1) as f64 * p)
             .sum())
+    }
+
+    /// Expected skill level of every item under one prior — the
+    /// generation-based difficulty of Eq. 11 for the whole catalog.
+    ///
+    /// Bitwise equal to calling [`EmissionTable::expected_level`] per
+    /// item: every item runs the same posterior arithmetic in the same
+    /// per-item order (log-space max trick, impossible-row fallback to
+    /// the normalized prior). `ln P(s)` is hoisted out of the item loop,
+    /// and items are processed in level-major blocks so the independent
+    /// `exp` and division of neighbouring items overlap.
+    pub fn expected_levels(&self, prior: &[f64]) -> Result<Vec<f64>> {
+        const BLOCK: usize = 256;
+        let n_levels = self.n_levels;
+        if prior.len() != n_levels {
+            return Err(CoreError::LengthMismatch {
+                context: "skill prior vs levels",
+                left: prior.len(),
+                right: n_levels,
+            });
+        }
+        let ln_prior: Vec<f64> = prior
+            .iter()
+            .map(|&p| if p > 0.0 { p.ln() } else { f64::NEG_INFINITY })
+            .collect();
+        // The expected level of an item impossible under every level: the
+        // normalized prior's mean, computed on first need.
+        let mut fallback: Option<f64> = None;
+        let mut lanes = vec![0.0f64; n_levels * BLOCK];
+        let mut maxes = vec![0.0f64; BLOCK];
+        let mut totals = vec![0.0f64; BLOCK];
+        let mut out = Vec::with_capacity(self.n_items);
+        for block in self.data.chunks((n_levels * BLOCK).max(1)) {
+            let m = block.len() / n_levels.max(1);
+            let (maxes, totals) = (&mut maxes[..m], &mut totals[..m]);
+            maxes.fill(f64::NEG_INFINITY);
+            totals.fill(0.0);
+            for (s0, (lane, (&p, &ln_p))) in lanes
+                .chunks_mut(BLOCK)
+                .zip(prior.iter().zip(&ln_prior))
+                .enumerate()
+            {
+                let column = block.iter().skip(s0).step_by(n_levels);
+                for ((cell, &ll), max) in lane.iter_mut().zip(column).zip(maxes.iter_mut()) {
+                    *cell = if p > 0.0 {
+                        ll + ln_p
+                    } else {
+                        f64::NEG_INFINITY
+                    };
+                    *max = max.max(*cell);
+                }
+            }
+            for lane in lanes.chunks_mut(BLOCK) {
+                for ((cell, &max), total) in
+                    lane.iter_mut().zip(maxes.iter()).zip(totals.iter_mut())
+                {
+                    *cell = (*cell - max).exp();
+                    *total += *cell;
+                }
+            }
+            for lane in lanes.chunks_mut(BLOCK) {
+                for (cell, &total) in lane.iter_mut().zip(totals.iter()) {
+                    *cell /= total;
+                }
+            }
+            for (j, max) in maxes.iter().enumerate() {
+                if max.is_finite() {
+                    out.push(
+                        lanes
+                            .iter()
+                            .skip(j)
+                            .step_by(BLOCK)
+                            .enumerate()
+                            .map(|(idx, &p)| (idx + 1) as f64 * p)
+                            .sum(),
+                    );
+                    continue;
+                }
+                let expected = match fallback {
+                    Some(e) => e,
+                    None => {
+                        let total: f64 = prior.iter().sum();
+                        if total <= 0.0 {
+                            return Err(CoreError::InvalidProbability {
+                                context: "skill prior sum",
+                                value: total,
+                            });
+                        }
+                        let e = prior
+                            .iter()
+                            .map(|&p| p / total)
+                            .enumerate()
+                            .map(|(idx, p)| (idx + 1) as f64 * p)
+                            .sum();
+                        *fallback.insert(e)
+                    }
+                };
+                out.push(expected);
+            }
+        }
+        Ok(out)
     }
 
     /// Resident bytes of the score storage.
@@ -1050,6 +1281,29 @@ mod tests {
         let post = table.posterior(1, &prior).unwrap();
         assert!((e - (post[0] + 2.0 * post[1])).abs() < 1e-15);
         assert!((1.0..=2.0).contains(&e));
+    }
+
+    #[test]
+    fn expected_levels_cover_impossible_rows_and_zero_priors() {
+        let (model, ds) = mixed_setup();
+        let mut table = EmissionTable::build(&model, &ds);
+        // Item 1 is impossible at every level; item 0 at level 1 only.
+        table.data[2] = f64::NEG_INFINITY;
+        table.data[3] = f64::NEG_INFINITY;
+        table.data[0] = f64::NEG_INFINITY;
+        for prior in [[0.25, 0.75], [1.0, 0.0], [0.0, 1.0]] {
+            let all = table.expected_levels(&prior).unwrap();
+            for (item, &e) in all.iter().enumerate() {
+                let one = table.expected_level(item as ItemId, &prior).unwrap();
+                assert_eq!(e.to_bits(), one.to_bits(), "item {item}, prior {prior:?}");
+            }
+            // The impossible row falls back to the prior's mean level.
+            assert_eq!(all[1], prior[0] + 2.0 * prior[1]);
+        }
+        // With no prior mass every row is impossible: an error either way.
+        assert!(table.expected_levels(&[0.0, 0.0]).is_err());
+        assert!(table.expected_level(0, &[0.0, 0.0]).is_err());
+        assert!(table.expected_levels(&[1.0]).is_err());
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! | [`InvariantCtx::check_ll_non_decreasing`] | `O(1)` |
 //! | [`InvariantCtx::check_assign_step_optimal`] | `O(Σ_u A_u)` rescore (+ a table build on the rescan path) |
 //! | [`InvariantCtx::check_grid`] | full grid rebuild + compare |
+//! | [`InvariantCtx::check_exact_integer`] | `O(1)` |
 //!
 //! [`StatsGrid`] refits carry no float
 //! state of their own (the grid is an integer histogram), so NaN poison
@@ -179,6 +180,27 @@ impl InvariantCtx {
             return Ok(());
         }
         grid.cross_check(dataset, assignments)
+    }
+
+    /// Rejects an exact integer statistic at or past `2^53`.
+    ///
+    /// [`StatsGrid`] keeps the Poisson sums `Σ k` and level totals `n` as
+    /// integers and converts them to `f64` when a level is refit. Below
+    /// `2^53` every partial sum of the item-ordered replay is an exactly
+    /// representable integer, so the conversion has the replay's bits;
+    /// past it the two round differently and the incremental fit would
+    /// silently drift from [`StatsGrid::fit_model`].
+    pub fn check_exact_integer(&self, check: &'static str, value: u128) -> Result<()> {
+        if !ENABLED {
+            return Ok(());
+        }
+        if value >= 1u128 << 53 {
+            return Err(CoreError::InvariantViolation {
+                check,
+                detail: format!("{value} is at or past 2^53, where f64 sums stop being exact"),
+            });
+        }
+        Ok(())
     }
 
     /// Rejects merging two item-range shards whose declared item ranges

@@ -335,24 +335,28 @@ fn scan_band(
     candidates
 }
 
-/// Total order on recommendations: score descending, then item id
-/// ascending (scores are always finite, so `partial_cmp` never ties
-/// distinct scores).
-fn rec_order(a: &Recommendation, b: &Recommendation) -> std::cmp::Ordering {
-    b.score
-        .partial_cmp(&a.score)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.item.cmp(&b.item))
+/// Sort key of the total order on recommendations — score descending,
+/// then item id ascending — as one integer, with the candidate's index
+/// riding in the low bits (it never decides an order: items are unique).
+///
+/// Scores lie in `[0, 1]` — [`RecommendConfig::validate`] bounds the
+/// blend weight, and both blended components are in `[0, 1]` — and for
+/// non-negative floats the IEEE bit pattern orders exactly like the
+/// value, so comparing `!bits` ranks scores descending. Adding `0.0`
+/// folds `-0.0` into `+0.0`, so the two zeros tie (and fall through to
+/// the item id) as they do numerically.
+fn rank_key(score: f64, item: ItemId, index: usize) -> u128 {
+    (u128::from(!(score + 0.0).to_bits()) << 64) | (u128::from(item) << 32) | index as u128
 }
 
 /// Pass 2: filters, normalizes interest by the surviving candidates'
 /// maximum log-likelihood (softmax-free but monotone; `exp(ll − max)`
 /// keeps it in `(0, 1]`), blends, selects the top `k`, sorts them.
 ///
-/// When more than `k` candidates survive, an `O(n)` partial selection
-/// runs before the sort; because [`rec_order`] is a total order the
-/// selected-then-sorted prefix is identical to sorting everything and
-/// truncating.
+/// Ranking sorts one [`rank_key`] integer per survivor; when more than
+/// `k` survive, an `O(n)` partial selection runs first. Keys are unique,
+/// so the selected-then-sorted prefix is identical to sorting everything
+/// and truncating. Only the top `k` become [`Recommendation`]s.
 fn score_candidates(
     candidates: &[Candidate],
     exclude: &dyn Fn(ItemId) -> bool,
@@ -370,8 +374,10 @@ fn score_candidates(
         }
     }
     let w = config.interest_weight;
-    let mut recs: Vec<Recommendation> = Vec::with_capacity(n_survivors);
-    for &(item, difficulty, fit, ll) in candidates {
+    let blend = |fit: f64, interest: f64| (1.0 - w) * fit + w * interest;
+    let mut interests = vec![0.0f64; candidates.len()];
+    let mut keys: Vec<u128> = Vec::with_capacity(n_survivors);
+    for ((index, &(item, _, fit, ll)), slot) in candidates.iter().enumerate().zip(&mut interests) {
         if exclude(item) {
             continue;
         }
@@ -380,20 +386,28 @@ fn score_candidates(
         } else {
             0.0
         };
-        recs.push(Recommendation {
+        *slot = interest;
+        keys.push(rank_key(blend(fit, interest), item, index));
+    }
+    if config.k > 0 && keys.len() > config.k {
+        keys.select_nth_unstable(config.k - 1);
+        keys.truncate(config.k);
+    }
+    keys.sort_unstable();
+    let mut ranked = Vec::with_capacity(keys.len());
+    ranked.extend(keys.iter().filter_map(|&key| {
+        let index = key as u32 as usize;
+        let &(item, difficulty, fit, _) = candidates.get(index)?;
+        let interest = *interests.get(index)?;
+        Some(Recommendation {
             item,
             difficulty,
             difficulty_fit: fit,
             interest,
-            score: (1.0 - w) * fit + w * interest,
-        });
-    }
-    if config.k > 0 && recs.len() > config.k {
-        recs.select_nth_unstable_by(config.k - 1, rec_order);
-        recs.truncate(config.k);
-    }
-    recs.sort_by(rec_order);
-    recs
+            score: blend(fit, interest),
+        })
+    }));
+    ranked
 }
 
 /// A difficulty ladder: one recommendation batch per level from `from`
@@ -683,5 +697,94 @@ mod tests {
         assert!(!recs.is_empty());
         assert!(recs.iter().all(|r| (0.0..=1.0 + 1e-12).contains(&r.score)));
         assert!(recs.windows(2).all(|w| w[0].score >= w[1].score));
+    }
+
+    mod ranking {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The comparator-sorted ranking the integer key replaces: score
+        /// descending by `partial_cmp`, then item id ascending.
+        fn reference(
+            candidates: &[Candidate],
+            exclude: &dyn Fn(ItemId) -> bool,
+            config: &RecommendConfig,
+        ) -> Vec<Recommendation> {
+            let max_ll = candidates
+                .iter()
+                .filter(|c| !exclude(c.0))
+                .map(|c| c.3)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let w = config.interest_weight;
+            let mut recs: Vec<Recommendation> = candidates
+                .iter()
+                .filter(|c| !exclude(c.0))
+                .map(|&(item, difficulty, fit, ll)| {
+                    let interest = if max_ll.is_finite() {
+                        (ll - max_ll).exp()
+                    } else {
+                        0.0
+                    };
+                    Recommendation {
+                        item,
+                        difficulty,
+                        difficulty_fit: fit,
+                        interest,
+                        score: (1.0 - w) * fit + w * interest,
+                    }
+                })
+                .collect();
+            recs.sort_by(|a, b| {
+                b.score
+                    .partial_cmp(&a.score)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.item.cmp(&b.item))
+            });
+            recs.truncate(config.k);
+            recs
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            // Drawing fits, log-likelihoods and weights from small sets
+            // forces tied scores, zero scores (`-inf` interest, zero fit,
+            // `-0.0` fit) and both the partial-selection and the
+            // full-sort paths.
+            #[test]
+            fn key_ranking_equals_comparator_ranking(
+                draws in proptest::collection::vec((0u8..6, 0u8..5, 0u8..4, 0.0f64..1.0), 0..60),
+                k in 1usize..70,
+                weight in (0u8..4, 0.0f64..1.0),
+                exclude_mod in 0u32..5,
+            ) {
+                let fits = [0.0, -0.0, 0.25, 0.5, 1.0];
+                let lls = [f64::NEG_INFINITY, -3.0, -1.0, 0.0];
+                let candidates: Vec<Candidate> = draws
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(f, l, d, x))| {
+                        let fit = if f == 5 { x } else { fits[f as usize] };
+                        let ll = if l == 4 { -x } else { lls[l as usize] };
+                        ((i * 3) as ItemId, f64::from(d), fit, ll)
+                    })
+                    .collect();
+                let interest_weight = match weight.0 {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => 0.5,
+                    _ => weight.1,
+                };
+                let config = RecommendConfig {
+                    k,
+                    interest_weight,
+                    ..RecommendConfig::default()
+                };
+                let exclude = |item: ItemId| exclude_mod > 0 && item.is_multiple_of(exclude_mod * 3 + 1);
+                let got = score_candidates(&candidates, &exclude, &config);
+                let want = reference(&candidates, &exclude, &config);
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            }
+        }
     }
 }

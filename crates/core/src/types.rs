@@ -11,6 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::emission::{ItemColumns, ItemColumnsCache};
 use crate::error::{CoreError, Result};
 use crate::feature::{FeatureSchema, FeatureValue};
 
@@ -149,7 +150,7 @@ impl ActionSequence {
 /// - every sequence is chronologically sorted;
 /// - every action references an item present in the feature table;
 /// - every item's feature tuple matches the [`FeatureSchema`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     schema: FeatureSchema,
     /// `items[i]` is the feature tuple of item `i`.
@@ -159,6 +160,38 @@ pub struct Dataset {
     sequences: Vec<ActionSequence>,
     /// Total number of actions across all sequences (cached).
     n_actions: usize,
+    /// The item catalog gathered into columns on first use; item
+    /// features never change after construction. Derived state, so it
+    /// never enters the serialized form.
+    columns: ItemColumnsCache,
+}
+
+/// Serializes the four stored fields (the gathered columns are derived
+/// and rebuilt on first use), in the field order of the derived format.
+impl Serialize for Dataset {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("schema".to_string(), self.schema.to_value()),
+            ("items".to_string(), self.items.to_value()),
+            ("sequences".to_string(), self.sequences.to_value()),
+            ("n_actions".to_string(), self.n_actions.to_value()),
+        ])
+    }
+}
+
+impl<'de> Deserialize<'de> for Dataset {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::DeError(format!("expected object for Dataset, got {v:?}")))?;
+        Ok(Dataset {
+            schema: serde::field(obj, "schema")?,
+            items: serde::field(obj, "items")?,
+            sequences: serde::field(obj, "sequences")?,
+            n_actions: serde::field(obj, "n_actions")?,
+            columns: ItemColumnsCache::default(),
+        })
+    }
 }
 
 impl Dataset {
@@ -189,6 +222,7 @@ impl Dataset {
             items,
             sequences,
             n_actions,
+            columns: ItemColumnsCache::default(),
         })
     }
 
@@ -205,6 +239,13 @@ impl Dataset {
     /// The full item feature table.
     pub fn items(&self) -> &[Vec<FeatureValue>] {
         &self.items
+    }
+
+    /// The item catalog gathered into per-feature columns, once per
+    /// dataset: every emission-table fill and refresh and every
+    /// statistics-grid refit reads these instead of re-gathering.
+    pub(crate) fn item_columns(&self) -> &ItemColumns {
+        self.columns.get_or_gather(&self.schema, &self.items)
     }
 
     /// Number of distinct items.

@@ -37,12 +37,25 @@
 //! (schema + item tuples), never the sequences — which is why the service
 //! can refit against a sequence-less catalog dataset while the histories
 //! live sharded.
+//!
+//! # Refit cost
+//!
+//! A refit never gathers the catalog: the catalog dataset gathers its
+//! item columns once, when the service is built, and the initial fit,
+//! the initial table and every `refresh_levels` and grid refit read
+//! those columns. Ingest pays an `O(1)` grid delta (a cell increment
+//! and a log push); the refit applies the logged deltas to the grid's
+//! exact level totals, then costs one branch-free positive-real replay,
+//! one Eq. 6 categorical refit and one emission column refresh per
+//! dirty level, plus the table clone and
+//! [`EmissionTable::expected_levels`] for the new epoch's difficulty.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use upskill_core::assign::{assign_items_with_table_ws, AssignWorkspace};
 use upskill_core::bundle::{SessionBundle, SESSION_BUNDLE_VERSION};
+use upskill_core::difficulty::prior_from_counts;
 use upskill_core::em::FbWorkspace;
 use upskill_core::emission::EmissionTable;
 use upskill_core::epoch::EpochCell;
@@ -307,17 +320,25 @@ impl SkillService {
         // from the assignment statistics, build the table, warm one
         // tracker per user by replay. Shape validation (user counts,
         // per-user lengths) happens inside the grid build.
+        // The catalog's item columns are gathered once, here, and serve
+        // the initial fit and table as well as every later refit.
+        let catalog = Dataset::new(
+            dataset.schema().clone(),
+            dataset.items().to_vec(),
+            Vec::new(),
+        )
+        .map_err(ServeError::Core)?;
         let mut grid =
             StatsGrid::build_with_config(&dataset, &assignments, config.n_levels, &parallel)
                 .map_err(ServeError::Core)?;
         let model = grid
-            .fit_model_incremental(&dataset, config.lambda, &parallel, None)
+            .fit_model_incremental(&catalog, config.lambda, &parallel, None)
             .map_err(ServeError::Core)?;
         let table = if parallel.users && parallel.threads > 1 {
-            EmissionTable::build_parallel(&model, &dataset, parallel.threads)
+            EmissionTable::build_parallel(&model, &catalog, parallel.threads)
                 .map_err(ServeError::Core)?
         } else {
-            EmissionTable::build(&model, &dataset)
+            EmissionTable::build(&model, &catalog)
         };
         InvariantCtx::new()
             .check_emission_table(&table)
@@ -356,13 +377,12 @@ impl SkillService {
         }
 
         let level_counts = assignments.level_histogram(config.n_levels);
-        let difficulty = difficulty_from_counts(&table, &level_counts)?;
-        let catalog = Dataset::new(
-            dataset.schema().clone(),
-            dataset.items().to_vec(),
-            Vec::new(),
-        )
-        .map_err(ServeError::Core)?;
+        // Generation difficulty under the empirical prior of the running
+        // level counts: what `generation_difficulty_all_with_table` with
+        // `SkillPrior::Empirical` computes from the full assignments.
+        let difficulty = prior_from_counts(&level_counts)
+            .and_then(|prior| table.expected_levels(&prior))
+            .map_err(ServeError::Core)?;
         let n_levels = config.n_levels;
         Ok(Self {
             shards: shards
@@ -646,7 +666,9 @@ impl SkillService {
             InvariantCtx::new()
                 .check_emission_table(&table)
                 .map_err(ServeError::Core)?;
-            let difficulty = difficulty_from_counts(&table, &g.level_counts)?;
+            let difficulty = prior_from_counts(&g.level_counts)
+                .and_then(|prior| table.expected_levels(&prior))
+                .map_err(ServeError::Core)?;
             self.epoch.publish(ModelEpoch::new(table, difficulty));
             g.refits += 1;
         }
@@ -929,26 +951,6 @@ impl SkillService {
     fn shard(&self, user: UserId) -> usize {
         shard_of(user, self.shards.len())
     }
-}
-
-/// Per-item generation difficulty under the empirical level prior
-/// rebuilt from the running level counts — computes exactly what
-/// [`upskill_core::difficulty::generation_difficulty_all_with_table`]
-/// with [`SkillPrior::Empirical`](upskill_core::difficulty::SkillPrior)
-/// computes from full assignments, without needing them contiguous.
-fn difficulty_from_counts(table: &EmissionTable, counts: &[usize]) -> Result<Vec<f64>> {
-    let total: usize = counts.iter().sum();
-    if total == 0 {
-        return Err(ServeError::Core(CoreError::EmptyDataset));
-    }
-    let prior: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
-    (0..table.n_items())
-        .map(|item| {
-            table
-                .expected_level(item as ItemId, &prior)
-                .map_err(ServeError::Core)
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -2,8 +2,10 @@
 //! schemas mixing categorical, count, and continuous (gamma + log-normal)
 //! features, the table-backed assignment and difficulty paths must agree
 //! with direct per-action evaluation, the columnar and parallel fills
-//! must agree with the scalar fill **bitwise**, and the f32 storage must
-//! stay within its documented half-ulp rounding bound.
+//! must agree with the scalar fill **bitwise** (so must a dirty-level
+//! refresh over the dataset's held item columns), the whole-catalog
+//! difficulty must match the per-item one bit for bit, and the f32
+//! storage must stay within its documented half-ulp rounding bound.
 
 use proptest::prelude::*;
 use upskill_core::assign::{
@@ -222,6 +224,96 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    // A dirty-level refresh reads the dataset's gathered item columns
+    // (gathered once, by the first build) and must leave exactly the
+    // scalar fill of the new model in the flagged columns and of the old
+    // model elsewhere — across item tiles too, when the catalog is
+    // repeated past one tile.
+    #[test]
+    fn refresh_over_held_columns_matches_scalar_bitwise(
+        params_a in level_params_strategy(4),
+        params_b in level_params_strategy(4),
+        item_draws in proptest::collection::vec(
+            (0u32..8, 0u64..20, 0.1f64..10.0, 0.1f64..10.0), 1..12),
+        flags in proptest::collection::vec(0u8..2, 4),
+        repeat in 0usize..3,
+    ) {
+        let draws: Vec<ItemDraw> = match repeat {
+            // Past two 2048-item tiles, ending mid-tile.
+            2 => item_draws.iter().copied().cycle().take(4099).collect(),
+            _ => item_draws.clone(),
+        };
+        let (model_a, model_b) = (mixed_model(&params_a), mixed_model(&params_b));
+        let ds = mixed_dataset(&draws, &[0]);
+        let flags: Vec<bool> = flags.iter().map(|&f| f == 1).collect();
+        let mut table = EmissionTable::build(&model_a, &ds);
+        table.refresh_levels(&model_b, &ds, &flags).unwrap();
+        let (old, new) = (
+            EmissionTable::build_scalar(&model_a, &ds),
+            EmissionTable::build_scalar(&model_b, &ds),
+        );
+        for item in 0..ds.n_items() as u32 {
+            for (s, &flag) in flags.iter().enumerate() {
+                let expected = if flag { new.row(item)[s] } else { old.row(item)[s] };
+                let got = table.row(item)[s];
+                prop_assert!(
+                    got.to_bits() == expected.to_bits(),
+                    "cell ({}, {}): {} vs {}", item, s, got, expected
+                );
+            }
+        }
+    }
+
+    // The whole-catalog difficulty is the per-item expected level bit
+    // for bit — including zero-prior levels, rows impossible under every
+    // level the prior allows (the normalized-prior fallback), and a prior
+    // with no mass (an error either way).
+    #[test]
+    fn expected_levels_match_per_item_expected_level_bitwise(
+        weights in proptest::collection::vec(
+            proptest::collection::vec((0u8..3, 0.05f64..5.0), CARDINALITY as usize), 3),
+        rest in (0.2f64..20.0, 0.5f64..8.0, 0.2f64..5.0),
+        item_draws in proptest::collection::vec(
+            (0u32..8, 0u64..20, 0.1f64..10.0, 0.1f64..10.0), 1..40),
+        prior in proptest::collection::vec((0u8..3, 0.01f64..1.0), 3),
+    ) {
+        // A third of the category weights are zero (so some rows hold
+        // `-inf` cells, and some are `-inf` at every level); every level
+        // keeps one positive weight.
+        let params: Vec<LevelParams> = weights
+            .iter()
+            .enumerate()
+            .map(|(s, w)| {
+                let mut w: Vec<f64> = w.iter().map(|&(z, x)| if z == 0 { 0.0 } else { x }).collect();
+                if w.iter().all(|&x| x <= 0.0) {
+                    let slot = s % w.len();
+                    w[slot] = 1.0;
+                }
+                (w, rest.0, (rest.1, rest.2), (0.0, 1.0))
+            })
+            .collect();
+        let model = mixed_model(&params);
+        let ds = mixed_dataset(&item_draws, &[0]);
+        let table = EmissionTable::build(&model, &ds);
+        let prior: Vec<f64> = prior.iter().map(|&(z, p)| if z == 0 { 0.0 } else { p }).collect();
+        let per_item: Result<Vec<f64>, _> = (0..ds.n_items() as u32)
+            .map(|item| table.expected_level(item, &prior))
+            .collect();
+        match (table.expected_levels(&prior), per_item) {
+            (Ok(all), Ok(each)) => {
+                prop_assert_eq!(all.len(), each.len());
+                for (item, (a, e)) in all.iter().zip(&each).enumerate() {
+                    prop_assert!(
+                        a.to_bits() == e.to_bits(),
+                        "item {}: {} vs {}", item, a, e
+                    );
+                }
+            }
+            (Err(a), Err(e)) => prop_assert_eq!(format!("{a:?}"), format!("{e:?}")),
+            (a, e) => prop_assert!(false, "one path failed: {:?} vs {:?}", a, e),
         }
     }
 
