@@ -40,7 +40,7 @@ use std::collections::HashSet;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{CoreError, Result};
-use crate::recommend::LevelBand;
+use crate::recommend::{rank_key, LevelBand, Recommendation};
 use crate::types::{ItemId, SkillLevel};
 
 /// Which objective mix drives the adaptive re-ranking.
@@ -291,16 +291,14 @@ impl PolicyState {
         })
     }
 
-    /// Which band a difficulty falls into (0-based; clamped).
+    /// Which band a difficulty falls into: `round(difficulty) − 1`,
+    /// clamped to `0..n_levels`. Rounding half away from zero reaches
+    /// `b + 1` exactly from `b + 0.5`, and `difficulty − 0.5` is exact
+    /// wherever the clamp does not decide, so truncating it is the same
+    /// index without a libm `round` call on the re-rank's per-candidate
+    /// path.
     fn band_index(&self, difficulty: f64) -> usize {
-        let b = difficulty.round();
-        if b < 1.0 {
-            0
-        } else if b >= self.n_levels as f64 {
-            self.n_levels - 1
-        } else {
-            b as usize - 1
-        }
+        ((difficulty - 0.5) as i64).clamp(0, self.n_levels as i64 - 1) as usize
     }
 
     /// Records one observed outcome at `difficulty`. Successes extend
@@ -324,10 +322,10 @@ impl PolicyState {
                 w.clear();
             }
             self.ncc[b].push(false);
-            if self.recent_failures.len() == self.failure_memory {
-                self.recent_failures.remove(0);
-            }
             if self.failure_memory > 0 {
+                if self.recent_failures.len() == self.failure_memory {
+                    self.recent_failures.remove(0);
+                }
                 self.recent_failures.push(difficulty);
             }
         }
@@ -356,9 +354,19 @@ impl PolicyState {
         self.failed_items.contains(&item)
     }
 
+    /// Items whose most recent recorded outcome was a failure, in no
+    /// particular order.
+    pub fn failed_items(&self) -> impl Iterator<Item = ItemId> + '_ {
+        self.failed_items.iter().copied()
+    }
+
     /// Laplace-smoothed success rate at the band `difficulty` falls in.
     pub fn success_rate(&self, difficulty: f64) -> f64 {
-        let b = self.band_index(difficulty);
+        self.rate_at(self.band_index(difficulty))
+    }
+
+    /// Laplace-smoothed success rate of band `b` (0-based).
+    fn rate_at(&self, b: usize) -> f64 {
         (self.successes[b] + 1) as f64 / (self.attempts[b] + 2) as f64
     }
 
@@ -410,14 +418,100 @@ pub struct PolicyRecommendation {
     pub score: f64,
 }
 
-/// Total order: blended score descending, then item id ascending —
-/// mirrors the static recommender's tie-break so re-ranking stays
-/// deterministic.
-fn policy_order(a: &PolicyRecommendation, b: &PolicyRecommendation) -> std::cmp::Ordering {
-    b.score
-        .partial_cmp(&a.score)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.item.cmp(&b.item))
+/// The candidate-independent part of one re-rank: the user's
+/// effective level, the band geometry and weight total, and the
+/// success rate of every difficulty band (it depends only on the band,
+/// so it is divided out once per query rather than once per candidate).
+struct Scorer<'a> {
+    state: &'a PolicyState,
+    config: &'a PolicyConfig,
+    s_eff: f64,
+    upper: f64,
+    span: f64,
+    w_total: f64,
+    rates: Vec<f64>,
+}
+
+impl<'a> Scorer<'a> {
+    fn new(
+        band: &LevelBand,
+        state: &'a PolicyState,
+        committed: SkillLevel,
+        config: &'a PolicyConfig,
+    ) -> Self {
+        Self {
+            state,
+            config,
+            s_eff: state.effective_level(committed, config),
+            upper: band.config().upper_slack.max(1e-9),
+            span: (band.config().lower_slack + band.config().upper_slack).max(1e-9),
+            w_total: config.w_aptitude + config.w_expected + config.w_gap,
+            rates: (0..state.n_levels).map(|b| state.rate_at(b)).collect(),
+        }
+    }
+
+    /// Scores one band entry against the policy objectives.
+    #[inline]
+    fn score(&self, r: &Recommendation) -> PolicyRecommendation {
+        let config = self.config;
+        let stretch = r.difficulty - self.s_eff;
+        let reach = if stretch > 0.0 {
+            (stretch / self.upper).min(1.0)
+        } else {
+            0.0
+        };
+        let rate = self.rates[self.state.band_index(r.difficulty)];
+        // Success-rate weighting is what makes the ranking *adaptive*:
+        // an unweighted reach term would score the top of the band
+        // identically whether the user lands those items or drowns in
+        // them, so failures could never demote an overreaching pick.
+        let aptitude = rate * reach;
+        let expected = rate * (1.0 - reach);
+        let gap = if self.state.recent_failures.is_empty() {
+            0.0
+        } else {
+            // A plain comparison is `f64::min` here (distances are never
+            // -0.0, and a NaN distance loses either way) minus its NaN
+            // bookkeeping on the per-candidate path.
+            let nearest = self
+                .state
+                .recent_failures
+                .iter()
+                .map(|f| (r.difficulty - f).abs())
+                .fold(f64::INFINITY, |m, x| if x < m { x } else { m });
+            (1.0 - nearest / self.span).clamp(0.0, 1.0)
+        };
+        let policy_score =
+            (config.w_aptitude * aptitude + config.w_expected * expected + config.w_gap * gap)
+                / self.w_total;
+        let stratum = if stretch > config.practice_halfwidth {
+            Stratum::Challenge
+        } else if stretch < -config.practice_halfwidth {
+            Stratum::Review
+        } else {
+            Stratum::Practice
+        };
+        PolicyRecommendation {
+            item: r.item,
+            difficulty: r.difficulty,
+            stratum,
+            aptitude,
+            expected,
+            gap,
+            policy_score,
+            static_score: r.score,
+            score: (1.0 - config.static_weight) * policy_score + config.static_weight * r.score,
+        }
+    }
+}
+
+/// Slot of a stratum in the per-stratum buffers and quotas.
+fn stratum_slot(s: Stratum) -> usize {
+    match s {
+        Stratum::Review => 0,
+        Stratum::Practice => 1,
+        Stratum::Challenge => 2,
+    }
 }
 
 /// Re-ranks a prebuilt [`LevelBand`] for one user: scores every
@@ -425,11 +519,30 @@ fn policy_order(a: &PolicyRecommendation, b: &PolicyRecommendation) -> std::cmp:
 /// effective level, then selects `k` items honoring the
 /// practice/review/challenge reservations (best-scoring first within
 /// each stratum, leftover slots filled globally). The returned list is
-/// sorted by blended score (ties by item id).
+/// sorted by blended score descending, ties by item id.
 ///
-/// O(band) per query against the band's full prebuilt ranking; never
-/// rescans the catalog and never touches model state, so policy reads
-/// stay epoch-pinned exactly like the static path.
+/// Cost: one `O(band)` scan with no allocation per candidate, then
+/// `O(k log k)`. The scan turns each candidate's blended score and
+/// stratum into one integer sort key (`recommend::rank_key`: score
+/// descending, then item id) in its stratum's buffer. A buffer that
+/// reaches `2k` keys is cut back to its best `k` by
+/// `select_nth_unstable`, and the worst of those becomes the stratum's
+/// bar: a later key past it cannot reach the stratum's top `k`, so it
+/// is dropped before `exclude` is consulted (`exclude` must therefore be
+/// a pure predicate). The union of the buffers, fewer than `6k` keys, is
+/// sorted, the two quota passes run over it, and
+/// [`PolicyRecommendation`]s are built for the picks only.
+///
+/// The selection is exact. A reservation pick is among its stratum's
+/// first `quota ≤ k` survivors. A leftover pick has every better
+/// survivor already picked, so it lies in the global top `k` and hence
+/// in its stratum's top `k`. Every buffer keeps its stratum's top `k`,
+/// so the sorted union is a subsequence of the full ranking holding
+/// every pick, and both passes pick exactly what they would over all
+/// survivors fully sorted.
+///
+/// Never rescans the catalog and never touches model state, so policy
+/// reads stay epoch-pinned exactly like the static path.
 pub fn rerank_band(
     band: &LevelBand,
     state: &PolicyState,
@@ -442,84 +555,61 @@ pub fn rerank_band(
     if k == 0 {
         return Err(CoreError::InvalidSkillCount { requested: 0 });
     }
-    let s_eff = state.effective_level(committed, config);
-    let upper = band.config().upper_slack.max(1e-9);
-    let span = (band.config().lower_slack + band.config().upper_slack).max(1e-9);
-    let w_total = config.w_aptitude + config.w_expected + config.w_gap;
+    let scorer = Scorer::new(band, state, committed, config);
+    let ranked = band.ranked();
 
-    let mut scored: Vec<PolicyRecommendation> = Vec::new();
-    for r in band.ranked() {
-        if exclude(r.item) {
+    // Policy and static scores both lie in `[0, 1]` (the weights are
+    // non-negative and every objective is in `[0, 1]`), so `rank_key`'s
+    // integer order is exactly score descending, then item ascending.
+    //
+    // Each stratum keeps its best keys so far. When a buffer reaches
+    // `2k`, selection cuts it back to its `k` best and the worst of those
+    // becomes the stratum's bar: no later key past the bar can reach the
+    // stratum's top `k`, so it is dropped before `exclude` is consulted.
+    let cap = k.saturating_mul(2);
+    let mut strata: [Vec<u128>; 3] = Default::default();
+    let mut bars: [Option<u128>; 3] = [None; 3];
+    for (index, r) in ranked.iter().enumerate() {
+        let rec = scorer.score(r);
+        let slot = stratum_slot(rec.stratum);
+        let key = rank_key(rec.score, r.item, index);
+        if bars[slot].is_some_and(|bar| key > bar) || exclude(r.item) {
             continue;
         }
-        let stretch = r.difficulty - s_eff;
-        let reach = if stretch > 0.0 {
-            (stretch / upper).min(1.0)
-        } else {
-            0.0
-        };
-        let rate = state.success_rate(r.difficulty);
-        // Success-rate weighting is what makes the ranking *adaptive*:
-        // an unweighted reach term would score the top of the band
-        // identically whether the user lands those items or drowns in
-        // them, so failures could never demote an overreaching pick.
-        let aptitude = rate * reach;
-        let expected = rate * (1.0 - reach);
-        let gap = if state.recent_failures.is_empty() {
-            0.0
-        } else {
-            let nearest = state
-                .recent_failures
-                .iter()
-                .map(|f| (r.difficulty - f).abs())
-                .fold(f64::INFINITY, f64::min);
-            (1.0 - nearest / span).clamp(0.0, 1.0)
-        };
-        let policy_score =
-            (config.w_aptitude * aptitude + config.w_expected * expected + config.w_gap * gap)
-                / w_total;
-        let stratum = if stretch > config.practice_halfwidth {
-            Stratum::Challenge
-        } else if stretch < -config.practice_halfwidth {
-            Stratum::Review
-        } else {
-            Stratum::Practice
-        };
-        scored.push(PolicyRecommendation {
-            item: r.item,
-            difficulty: r.difficulty,
-            stratum,
-            aptitude,
-            expected,
-            gap,
-            policy_score,
-            static_score: r.score,
-            score: (1.0 - config.static_weight) * policy_score + config.static_weight * r.score,
-        });
+        let keys = &mut strata[slot];
+        keys.push(key);
+        if keys.len() == cap {
+            keys.select_nth_unstable(k - 1);
+            keys.truncate(k);
+            bars[slot] = Some(keys[k - 1]);
+        }
     }
-    scored.sort_by(policy_order);
 
-    // Reserved slots per stratum; the remainder is unreserved.
-    let k = k.min(scored.len());
+    // Reserved slots per stratum; the remainder is unreserved. With
+    // fewer than `k` survivors every survivor is picked, whatever the
+    // reservations.
     let reserve = |frac: f64| ((k as f64) * frac).floor() as usize;
     let mut quota = [
         reserve(config.mix.review),
         reserve(config.mix.practice),
         reserve(config.mix.challenge),
     ];
-    let stratum_slot = |s: Stratum| match s {
-        Stratum::Review => 0usize,
-        Stratum::Practice => 1,
-        Stratum::Challenge => 2,
-    };
-    let mut picked = vec![false; scored.len()];
+    // Each buffer holds its stratum's top `k`, so the sorted union is a
+    // subsequence of the full ranking that contains every pick.
+    let mut top: Vec<(u128, usize)> = strata
+        .iter()
+        .enumerate()
+        .flat_map(|(slot, keys)| keys.iter().map(move |&key| (key, slot)))
+        .collect();
+    top.sort_unstable();
+
+    let mut picked = vec![false; top.len()];
     let mut n_picked = 0usize;
     // Pass 1: fill each stratum's reservation best-first.
-    for (i, rec) in scored.iter().enumerate() {
+    for (i, &(_, slot)) in top.iter().enumerate() {
         if n_picked == k {
             break;
         }
-        let slot = stratum_slot(rec.stratum);
         if quota[slot] > 0 {
             quota[slot] -= 1;
             picked[i] = true;
@@ -527,20 +617,21 @@ pub fn rerank_band(
         }
     }
     // Pass 2: release unfilled reservations to the global ranking.
-    for (i, _) in scored.iter().enumerate() {
+    for p in picked.iter_mut() {
         if n_picked == k {
             break;
         }
-        if !picked[i] {
-            picked[i] = true;
+        if !*p {
+            *p = true;
             n_picked += 1;
         }
     }
-    // `scored` is already in output order; keep the picks' order.
-    Ok(scored
-        .into_iter()
+    // `top` is already in output order; keep the picks' order.
+    Ok(top
+        .iter()
         .zip(picked)
-        .filter_map(|(r, p)| p.then_some(r))
+        .filter(|&(_, p)| p)
+        .map(|(&(key, _), _)| scorer.score(&ranked[key as u32 as usize]))
         .collect())
 }
 
@@ -762,6 +853,48 @@ mod tests {
             after[0].difficulty < fresh[0].difficulty,
             "fresh {fresh:?} vs after {after:?}"
         );
+    }
+
+    #[test]
+    fn band_index_is_clamped_rounding() {
+        let state = PolicyState::new(5, &PolicyConfig::hybrid()).unwrap();
+        let by_rounding = |d: f64| {
+            let b = d.round();
+            if b < 1.0 {
+                0
+            } else if b >= 5.0 {
+                4
+            } else {
+                b as usize - 1
+            }
+        };
+        let mut probes = vec![-3.0, -0.5, 0.0, 1e-300, 1e300, f64::MAX, f64::INFINITY];
+        for j in 0..=6 {
+            let half = j as f64 + 0.5;
+            let below = f64::from_bits(half.to_bits() - 1);
+            let above = f64::from_bits(half.to_bits() + 1);
+            probes.extend([j as f64, half, below, above]);
+        }
+        probes.extend((0..=7000).map(|i| i as f64 / 1000.0));
+        for d in probes {
+            assert_eq!(state.band_index(d), by_rounding(d), "difficulty {d}");
+        }
+    }
+
+    #[test]
+    fn zero_failure_memory_records_failures_without_history() {
+        let mut cfg = PolicyConfig::hybrid();
+        cfg.failure_memory = 0;
+        cfg.validate().unwrap();
+        let mut state = PolicyState::new(3, &cfg).unwrap();
+        state.record(4, 2.0, false);
+        state.record(5, 3.0, false);
+        assert!(state.recent_failures().is_empty());
+        assert!(state.has_failed(4) && state.has_failed(5));
+        assert_eq!(state.total_attempts(), 2);
+        let recs = rerank_band(&band_fixture(2), &state, 2, &|_| false, &cfg, 4).unwrap();
+        assert!(!recs.is_empty());
+        assert!(recs.iter().all(|r| r.gap == 0.0));
     }
 
     #[test]

@@ -340,12 +340,14 @@ fn scan_band(
 /// riding in the low bits (it never decides an order: items are unique).
 ///
 /// Scores lie in `[0, 1]` — [`RecommendConfig::validate`] bounds the
-/// blend weight, and both blended components are in `[0, 1]` — and for
+/// blend weight, and both blended components are in `[0, 1]`; the
+/// adaptive re-rank ([`crate::policy::rerank_band`]) keys its blended
+/// policy scores, also in `[0, 1]`, the same way — and for
 /// non-negative floats the IEEE bit pattern orders exactly like the
 /// value, so comparing `!bits` ranks scores descending. Adding `0.0`
 /// folds `-0.0` into `+0.0`, so the two zeros tie (and fall through to
 /// the item id) as they do numerically.
-fn rank_key(score: f64, item: ItemId, index: usize) -> u128 {
+pub(crate) fn rank_key(score: f64, item: ItemId, index: usize) -> u128 {
     (u128::from(!(score + 0.0).to_bits()) << 64) | (u128::from(item) << 32) | index as u128
 }
 

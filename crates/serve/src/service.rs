@@ -768,9 +768,14 @@ impl SkillService {
     /// which stay recommendable for retry.
     ///
     /// Like the static path this reads only the published epoch and
-    /// the user's shard (policy state is cloned out from under the
-    /// shard lock), so policy queries stay O(band) and never block —
-    /// or wait on — a refit.
+    /// the user's shard, so policy queries never block — or wait on — a
+    /// refit. Under the shard lock the user's exclusion set becomes a
+    /// bitset over the epoch's catalog (one bit per item: set for every
+    /// completed item, then cleared for items awaiting a retry) and the
+    /// policy state is cloned out; the re-rank then tests one bit per
+    /// candidate it consults. A query costs `O(actions + catalog/64)`
+    /// for the bitset plus [`rerank_band`]'s `O(band)` scan and
+    /// `O(k log k)` result build.
     pub fn recommend_policy(
         &self,
         user: UserId,
@@ -801,18 +806,32 @@ impl SkillService {
             .levels
             .last()
             .ok_or(ServeError::Core(CoreError::EmptyDataset))?;
-        let seen: HashSet<ItemId> = state.actions.iter().map(|a| a.item).collect();
         let policy = state
             .policy
             .as_ref()
             .expect("adaptive services build policy state for every user")
             .clone();
+        let mut excluded = vec![0u64; ep.difficulty.len().div_ceil(64)];
+        for action in &state.actions {
+            if let Some(word) = excluded.get_mut(action.item as usize / 64) {
+                *word |= 1 << (action.item % 64);
+            }
+        }
+        for item in policy.failed_items() {
+            if let Some(word) = excluded.get_mut(item as usize / 64) {
+                *word &= !(1 << (item % 64));
+            }
+        }
         drop(shard);
         let band = ep.band(level, &self.recommend)?;
         if band.is_empty() {
             return Err(ServeError::EmptyBand { level });
         }
-        let exclude = |item: ItemId| seen.contains(&item) && !policy.has_failed(item);
+        let exclude = |item: ItemId| {
+            excluded
+                .get(item as usize / 64)
+                .is_some_and(|word| word >> (item % 64) & 1 != 0)
+        };
         rerank_band(band, &policy, level, &exclude, &cfg, k).map_err(ServeError::Core)
     }
 

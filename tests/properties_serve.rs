@@ -7,14 +7,17 @@
 //! multi-threaded drive over disjoint users under a fixed table must
 //! land in the same state as any serialized order of the same actions.
 
+use std::collections::{HashMap, HashSet};
+
 use proptest::prelude::*;
 use upskill_core::emission::EmissionTable;
 use upskill_core::feature::{FeatureKind, FeatureSchema, FeatureValue, PositiveModel};
 use upskill_core::parallel::ParallelConfig;
+use upskill_core::policy::{rerank_band, PolicyRecommendation, PolicyState};
 use upskill_core::recommend::RecommendConfig;
 use upskill_core::streaming::{RefitPolicy, RefitTuner, StreamingSession};
 use upskill_core::train::{train_with_parallelism, TrainConfig, TrainResult};
-use upskill_core::types::{Action, ActionSequence, Dataset};
+use upskill_core::types::{Action, ActionSequence, Dataset, ItemId, UserId};
 use upskill_serve::{PolicyConfig, PolicyMode, PredictMode, ServeConfig, ServeError, SkillService};
 
 /// Raw item feature draws: (category, count, gamma value, lognormal value).
@@ -521,4 +524,190 @@ fn concurrent_disjoint_ingest_matches_serialized_replay() {
         session.snapshot("concurrent").to_json().unwrap(),
         "concurrent disjoint ingestion diverged from serialized replay"
     );
+}
+
+/// Field-by-field bitwise equality of two policy result lists.
+fn assert_policy_bitwise_equal(
+    expected: &[PolicyRecommendation],
+    got: &[PolicyRecommendation],
+) -> proptest::TestCaseResult {
+    prop_assert_eq!(expected.len(), got.len());
+    for (a, b) in expected.iter().zip(got) {
+        prop_assert_eq!(a.item, b.item);
+        prop_assert_eq!(a.stratum, b.stratum);
+        for (x, y) in [
+            (a.difficulty, b.difficulty),
+            (a.aptitude, b.aptitude),
+            (a.expected, b.expected),
+            (a.gap, b.gap),
+            (a.policy_score, b.policy_score),
+            (a.static_score, b.static_score),
+            (a.score, b.score),
+        ] {
+            prop_assert!(
+                x.to_bits() == y.to_bits(),
+                "item {}: {} vs {}",
+                a.item,
+                x,
+                y
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // A policy read excludes through a bitset the service fills under
+    // the shard lock. It must re-rank exactly like the core re-rank over
+    // a plain set of the user's completed items (from the snapshot)
+    // minus the items awaiting a retry — for base users, users admitted
+    // mid-stream, and failed items with and without a later success.
+    #[test]
+    fn policy_reads_match_core_rerank_over_seen_minus_failed(
+        mask in 0u8..8,
+        item_draws in proptest::collection::vec(
+            (0u32..8, 0u64..20, 0.1f64..10.0, 0.1f64..10.0), 2..10),
+        users in proptest::collection::vec(
+            proptest::collection::vec(0usize..1000, 2..12), 1..5),
+        n_levels in 2usize..4,
+        n_shards in 1usize..5,
+        preset in 0usize..3,
+        failure_memory in 0usize..4,
+        outcomes in proptest::collection::vec((0usize..64, 0usize..64, 0u32..3), 0..24),
+        k in 1usize..12,
+    ) {
+        let full = build_dataset(masked_schema(mask), &item_draws, &users);
+        let (prefix_ds, suffix) = split(&full);
+        let (cfg, result) = trained(&prefix_ds, n_levels);
+        let presets = [PolicyConfig::teach, PolicyConfig::motivate, PolicyConfig::hybrid];
+        let policy_cfg = PolicyConfig { failure_memory, ..presets[preset]() };
+        let recommend = RecommendConfig {
+            lower_slack: 3.0,
+            upper_slack: 3.0,
+            ..RecommendConfig::default()
+        };
+        let service = SkillService::resume(
+            prefix_ds.clone(),
+            &result,
+            cfg,
+            ParallelConfig::sequential(),
+            ServeConfig {
+                n_shards,
+                policy: RefitPolicy::Manual,
+                recommend,
+                adaptive: Some(policy_cfg),
+                ..ServeConfig::default()
+            },
+        ).unwrap();
+        // Manual refits: one epoch, one difficulty vector throughout.
+        let (_, ep) = service.current_epoch();
+        let difficulty = ep.difficulty();
+        let n_items = difficulty.len();
+
+        // A mirror of every user's policy state, fed the same evidence.
+        let fresh = || PolicyState::new(n_levels, &policy_cfg).unwrap();
+        let mut mirror: HashMap<UserId, PolicyState> = HashMap::new();
+        let mut history: HashMap<UserId, Vec<ItemId>> = HashMap::new();
+        let mut order: Vec<UserId> = Vec::new();
+        for seq in prefix_ds.sequences() {
+            mirror.insert(seq.user, fresh());
+            history.insert(seq.user, seq.actions().iter().map(|a| a.item).collect());
+            order.push(seq.user);
+        }
+        for &action in &suffix {
+            service.ingest(action).unwrap();
+            mirror
+                .entry(action.user)
+                .or_insert_with(|| {
+                    order.push(action.user);
+                    fresh()
+                })
+                .record(action.item, difficulty[action.item as usize], true);
+            history.entry(action.user).or_default().push(action.item);
+        }
+        // Mostly failures, half of them on completed items (retries).
+        for &(u, pick, outcome) in &outcomes {
+            let user = order[u % order.len()];
+            let done = &history[&user];
+            let item = if pick % 2 == 0 && !done.is_empty() {
+                done[pick / 2 % done.len()]
+            } else {
+                (pick % n_items) as ItemId
+            };
+            let correct = outcome == 0;
+            let noted = service.record_outcome(user, item, correct).unwrap();
+            prop_assert_eq!(noted.correct, correct);
+            mirror.get_mut(&user).unwrap().record(item, difficulty[item as usize], correct);
+        }
+
+        let snapshot = service.snapshot("policy").unwrap();
+        for seq in snapshot.dataset.sequences() {
+            let user = seq.user;
+            let state = &mirror[&user];
+            let seen: HashSet<ItemId> = seq.actions().iter().map(|a| a.item).collect();
+            let got = service.recommend_policy(user, Some(k), policy_cfg.mode);
+            let Ok(prediction) = service.predict(user, PredictMode::Committed) else {
+                prop_assert!(got.is_err());
+                continue;
+            };
+            let level = prediction.level;
+            let band = ep.band(level, &recommend).unwrap();
+            if band.is_empty() {
+                prop_assert!(matches!(got, Err(ServeError::EmptyBand { .. })));
+                continue;
+            }
+            let exclude = |item: ItemId| seen.contains(&item) && !state.has_failed(item);
+            let expected = rerank_band(band, state, level, &exclude, &policy_cfg, k).unwrap();
+            assert_policy_bitwise_equal(&expected, &got.unwrap())?;
+        }
+    }
+}
+
+/// A zero-length failure memory is a valid configuration: failures are
+/// still recorded (the failed items stay recommendable for retry) but
+/// no failed difficulty is remembered, so the gap objective stays 0.
+#[test]
+fn zero_failure_memory_records_failures() {
+    let draws: Vec<ItemDraw> = (0..5)
+        .map(|i| (i as u32, 2 + i as u64, 0.4 + i as f64, 1.2 + i as f64))
+        .collect();
+    let users: Vec<Vec<usize>> = (0..4)
+        .map(|u| (0..12).map(|t| u * 17 + t * 5).collect())
+        .collect();
+    let full = build_dataset(masked_schema(7), &draws, &users);
+    let (prefix_ds, _) = split(&full);
+    let (cfg, result) = trained(&prefix_ds, 3);
+    let n_items = prefix_ds.n_items();
+    let policy_cfg = PolicyConfig {
+        failure_memory: 0,
+        ..PolicyConfig::hybrid()
+    };
+    let service = SkillService::resume(
+        prefix_ds,
+        &result,
+        cfg,
+        ParallelConfig::sequential(),
+        ServeConfig {
+            policy: RefitPolicy::Manual,
+            recommend: RecommendConfig {
+                lower_slack: 10.0,
+                upper_slack: 10.0,
+                ..RecommendConfig::default()
+            },
+            adaptive: Some(policy_cfg),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    for item in 0..n_items as ItemId {
+        assert!(service.record_outcome(0, item, false).is_ok());
+    }
+    let recs = service
+        .recommend_policy(0, Some(n_items), PolicyMode::Hybrid)
+        .unwrap();
+    // Every item failed, so none is excluded: the wide band returns all.
+    assert_eq!(recs.len(), n_items);
+    assert!(recs.iter().all(|r| r.gap == 0.0), "{recs:?}");
 }
